@@ -3,21 +3,23 @@
 The gateway contract only earns its keep if it is effectively free on
 the hot path: a typed request through adapter + middleware stack must
 cost within 1.3x of calling the raw engine's ``search_topics``
-directly on a warm (cached) query. This bench measures that ratio with
-best-of-N aggregate timings (single calls sit below timer noise) and
-gates on it, plus records the absolute per-dispatch costs of the
-adapter-only and full-stack paths for the record.
+directly on a warm (cached) query. This bench times the two paths in
+interleaved pairs of aggregate timings (single calls sit below timer
+noise) and gates on the median per-pair ratio once it is confidently
+on one side of the bound (:mod:`paired_gate`), plus records the
+absolute per-dispatch cost of the full-stack path for the record.
 """
 
 import statistics
 import time
 
 import pytest
+from paired_gate import paired_ratio_gate
 
 from repro.api import Gateway, SearchRequest, ServiceBackend, default_middlewares
 
 OPS_PER_SAMPLE = 2_000
-SAMPLES = 9  # median-of-9 aggregate timings per target
+SAMPLES = 9  # median-of-9 aggregate timings (full-stack record)
 GATE_RATIO = 1.3
 
 
@@ -41,14 +43,15 @@ def scenario_query(bench_marketplace):
     )
 
 
+def _seconds(fn) -> float:
+    t0 = time.perf_counter()
+    for _ in range(OPS_PER_SAMPLE):
+        fn()
+    return time.perf_counter() - t0
+
+
 def _median_seconds(fn) -> float:
-    samples = []
-    for _ in range(SAMPLES):
-        t0 = time.perf_counter()
-        for _ in range(OPS_PER_SAMPLE):
-            fn()
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)
+    return statistics.median(_seconds(fn) for _ in range(SAMPLES))
 
 
 def test_bench_gateway_dispatch_overhead(
@@ -63,19 +66,27 @@ def test_bench_gateway_dispatch_overhead(
     expected = raw.search_topics(scenario_query, 5)
     assert list(gateway.search(request).hits) == expected
 
-    raw_s = _median_seconds(lambda: raw.search_topics(scenario_query, 5))
-    gateway_s = _median_seconds(lambda: gateway.search(request))
-    ratio = gateway_s / raw_s
+    def run_raw():
+        return raw.search_topics(scenario_query, 5)
 
+    def run_gateway():
+        return gateway.search(request)
+
+    def pair(i):
+        if i % 2:
+            gateway_s = _seconds(run_gateway)
+            raw_s = _seconds(run_raw)
+        else:
+            raw_s = _seconds(run_raw)
+            gateway_s = _seconds(run_gateway)
+        return gateway_s / raw_s
+
+    result = paired_ratio_gate(pair, GATE_RATIO, first=12, step=6, most=60)
     with capsys.disabled():
-        print(
-            f"\n[gateway overhead] raw={raw_s / OPS_PER_SAMPLE * 1e6:.1f}us "
-            f"gateway={gateway_s / OPS_PER_SAMPLE * 1e6:.1f}us "
-            f"ratio={ratio:.2f}x (gate {GATE_RATIO}x)"
-        )
-    assert ratio < GATE_RATIO, (
-        f"gateway dispatch is {ratio:.2f}x the raw warm path "
-        f"(gate {GATE_RATIO}x): raw={raw_s:.4f}s gateway={gateway_s:.4f}s"
+        print(f"\n[gateway overhead] {result.describe(GATE_RATIO)}")
+    assert result.passed, (
+        f"gateway dispatch is too slow against the raw warm path: "
+        f"{result.describe(GATE_RATIO)}"
     )
 
 

@@ -5,12 +5,15 @@ Two gates, both against live sockets:
 
 * **Tail flatness.** The same open-loop bursty workload (fixed total
   arrival rate — so the offered load does not change) is replayed
-  through N and then 10N persistent keep-alive connections. Holding 10x
+  through N and through 10N persistent keep-alive connections, in
+  interleaved pairs of short slices over the same queries. Holding 10x
   the sockets must not inflate read p99 beyond 1.3x (with a small
   absolute floor so scheduler noise on a quiet box cannot fail the
-  gate). A closed-loop driver could not express this property: its
-  offered load scales with connection count, conflating "many
-  connections" with "10x the traffic".
+  gate); the gate is on the median per-pair ratio, sampled until it is
+  confidently on one side of the bound (:mod:`paired_gate`). A
+  closed-loop driver could not express this property: its offered load
+  scales with connection count, conflating "many connections" with
+  "10x the traffic".
 
 * **Fsync amortization.** The same event volume is ingested twice under
   ``fsync="always"``: sequentially through the threaded edge (one
@@ -28,6 +31,7 @@ import threading
 import time
 
 import pytest
+from paired_gate import paired_ratio_gate
 
 from repro.api import Gateway, ServiceBackend, ShoalHttpServer
 from repro.api.aio import AsyncShoalServer
@@ -37,7 +41,8 @@ from repro.streaming import IngestPipe, WriteAheadLog
 BASE_CONNECTIONS = 4
 SCALE = 10  # the satellite's 10x
 ARRIVAL_RATE = 150.0  # total requests/s, identical at both scales
-N_READS = 450  # per scale: ~3s of open-loop traffic
+SLICE_READS = 60  # per scale and pair: 0.4s of open-loop traffic
+FIRST_PAIRS, PAIR_STEP, MOST_PAIRS = 12, 6, 36
 TAIL_GATE = 1.3
 TAIL_FLOOR_MS = 5.0  # p99s below this are scheduler noise, not signal
 
@@ -67,18 +72,28 @@ def bursty_workload(bench_marketplace):
     return build_workload(
         bench_marketplace.query_log.queries,
         bench_marketplace.scenarios,
-        WorkloadConfig(n_requests=N_READS, profile="bursty", seed=7),
+        WorkloadConfig(
+            n_requests=SLICE_READS * MOST_PAIRS, profile="bursty", seed=7
+        ),
     )
 
 
-def _open_loop_p99_ms(server, workload, n_connections, rate) -> float:
-    """Drive the edge through n persistent connections at a fixed total
-    arrival rate; return read p99 measured from each request's
-    *scheduled* instant (queueing counted, no coordinated omission)."""
-    conns = [
-        http.client.HTTPConnection(server.host, server.port, timeout=30)
-        for _ in range(n_connections)
-    ]
+def _search(conn, query) -> int:
+    body = json.dumps({"query": query, "k": 5}).encode()
+    conn.request(
+        "POST", "/v1/search", body=body,
+        headers={"Content-Type": "application/json"},
+    )
+    resp = conn.getresponse()
+    resp.read()
+    return resp.status
+
+
+def _open_loop_p99_ms(conns, workload, rate) -> float:
+    """Drive the edge through the given persistent connections at a
+    fixed total arrival rate; return read p99 measured from each
+    request's *scheduled* instant (queueing counted, no coordinated
+    omission)."""
     latencies = []
     lock = threading.Lock()
     schedule = threading.Semaphore(0)
@@ -93,16 +108,9 @@ def _open_loop_p99_ms(server, workload, n_connections, rate) -> float:
                     return
                 cursor["i"] = i + 1
                 due = t0 + i / rate
-            query = workload[i]
-            body = json.dumps({"query": query, "k": 5}).encode()
-            conn.request(
-                "POST", "/v1/search", body=body,
-                headers={"Content-Type": "application/json"},
-            )
-            resp = conn.getresponse()
-            resp.read()
+            status = _search(conn, workload[i])
             done = time.perf_counter()
-            assert resp.status == 200
+            assert status == 200
             with lock:
                 latencies.append((done - due) * 1000.0)
 
@@ -110,22 +118,18 @@ def _open_loop_p99_ms(server, workload, n_connections, rate) -> float:
         threading.Thread(target=worker, args=(c,), daemon=True)
         for c in conns
     ]
-    t0 = time.perf_counter()
     for t in threads:
         t.start()
-    try:
-        for i in range(len(workload)):
-            delay = (t0 + i / rate) - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            schedule.release()
-        for _ in threads:  # wake everyone for the exit check
-            schedule.release()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        for c in conns:
-            c.close()
+    t0 = time.perf_counter()  # after the starts: no request waits on them
+    for i in range(len(workload)):
+        delay = (t0 + i / rate) - time.perf_counter()
+        if delay > 0:
+            time.sleep(delay)
+        schedule.release()
+    for _ in threads:  # wake everyone for the exit check
+        schedule.release()
+    for t in threads:
+        t.join(timeout=60)
     assert len(latencies) == len(workload)
     ordered = sorted(latencies)
     return ordered[max(0, int(0.99 * len(ordered)) - 1)]
@@ -135,31 +139,57 @@ def test_bench_p99_flat_across_10x_connections(
     make_backend, bursty_workload, capsys
 ):
     server = AsyncShoalServer(Gateway(make_backend()), port=0).start()
+    scales = {
+        n: [
+            http.client.HTTPConnection(server.host, server.port, timeout=30)
+            for _ in range(n)
+        ]
+        for n in (BASE_CONNECTIONS, BASE_CONNECTIONS * SCALE)
+    }
+    p99s = []
+
+    def pair(i):
+        # Both scales replay the same slice, in alternating order.
+        queries = bursty_workload[i * SLICE_READS:(i + 1) * SLICE_READS]
+        order = sorted(scales, reverse=bool(i % 2))
+        p99 = {
+            n: _open_loop_p99_ms(scales[n], queries, ARRIVAL_RATE)
+            for n in order
+        }
+        base, scaled = p99[BASE_CONNECTIONS], p99[BASE_CONNECTIONS * SCALE]
+        p99s.append((base, scaled))
+        return scaled / max(base, TAIL_FLOOR_MS)
+
     try:
+        for conns in scales.values():
+            for conn in conns:
+                conn.connect()  # no slice pays for TCP setup
         # Warm the caches so both scales measure the same warm tier.
-        _open_loop_p99_ms(
-            server, bursty_workload[:100], BASE_CONNECTIONS, ARRIVAL_RATE
-        )
-        p99_base = _open_loop_p99_ms(
-            server, bursty_workload, BASE_CONNECTIONS, ARRIVAL_RATE
-        )
-        p99_scaled = _open_loop_p99_ms(
-            server, bursty_workload, BASE_CONNECTIONS * SCALE, ARRIVAL_RATE
+        warm = scales[BASE_CONNECTIONS][0]
+        for query in sorted(set(bursty_workload)):
+            assert _search(warm, query) == 200
+        result = paired_ratio_gate(
+            pair, TAIL_GATE,
+            first=FIRST_PAIRS, step=PAIR_STEP, most=MOST_PAIRS,
         )
     finally:
+        for conns in scales.values():
+            for conn in conns:
+                conn.close()
         server.shutdown()
 
-    allowed = TAIL_GATE * max(p99_base, TAIL_FLOOR_MS)
+    base_ms = sorted(b for b, _ in p99s)[len(p99s) // 2]
+    scaled_ms = sorted(s for _, s in p99s)[len(p99s) // 2]
     with capsys.disabled():
         print(
-            f"\n[async edge tail] p99@{BASE_CONNECTIONS}conn="
-            f"{p99_base:.2f}ms p99@{BASE_CONNECTIONS * SCALE}conn="
-            f"{p99_scaled:.2f}ms allowed={allowed:.2f}ms "
-            f"(gate {TAIL_GATE}x, floor {TAIL_FLOOR_MS}ms)"
+            f"\n[async edge tail] median slice p99@{BASE_CONNECTIONS}conn="
+            f"{base_ms:.2f}ms p99@{BASE_CONNECTIONS * SCALE}conn="
+            f"{scaled_ms:.2f}ms; {result.describe(TAIL_GATE)} "
+            f"(floor {TAIL_FLOOR_MS}ms)"
         )
-    assert p99_scaled < allowed, (
+    assert result.passed, (
         f"read p99 degraded {SCALE}x-ing connections: "
-        f"{p99_base:.2f}ms -> {p99_scaled:.2f}ms (allowed {allowed:.2f}ms)"
+        f"{result.describe(TAIL_GATE)} (floor {TAIL_FLOOR_MS}ms)"
     )
 
 

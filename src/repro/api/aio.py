@@ -38,8 +38,15 @@ is everything a blocking edge cannot do:
   codes, including the partial-batch "resubmit only the rest"
   accounting when admission splits a coalesced batch.
 
-The threaded edge remains available behind ``serve-http --edge thread``
-for one release; this edge is the default successor.
+* **Loop-thread cache hits** — when the backend is a caching
+  :class:`~repro.api.middleware.Gateway`, a read whose answer the
+  gateway result cache already holds is answered on the event-loop
+  thread through :meth:`~repro.api.middleware.Gateway.handle_cached`:
+  the full middleware stack still runs, but the cache stage serves the
+  held entry and has nothing below it, so no backend work can run on
+  the loop. The entry's encoded body is reused, so a warm hit skips
+  the executor hop and the JSON encoding both. Every other read goes
+  to the executor under the deadline and hedging rules above.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ from repro.api.http import (
     _json_bytes,
     partial_batch_error,
 )
+from repro.api.middleware import Gateway
 from repro.obs.tracer import traced
 from repro.serving.stats import RequestStats
 
@@ -87,6 +95,14 @@ _PHRASES = {
 #: floor — a sub-millisecond delay would double every request.
 _HEDGE_MIN_SAMPLES = 50
 _HEDGE_FLOOR_MS = 1.0
+
+_JSON_CONTENT_TYPE = "application/json; charset=utf-8"
+
+
+def _encode_response(response) -> bytes:
+    """The wire body of a read answer (what the connection handler
+    writes for a response dict), for the gateway to keep with a hit."""
+    return _json_bytes(response.to_dict())
 
 
 def _silence(task: "asyncio.Future") -> None:
@@ -336,6 +352,13 @@ class AsyncShoalServer:
         self._coalesce_max_events = coalesce_max_events
         self._coalesce_max_delay_ms = coalesce_max_delay_ms
         self._stats = _EdgeStats()
+        #: The adaptive hedge delay, re-derived from the read recorder
+        #: once every _HEDGE_MIN_SAMPLES reads rather than per read.
+        self._auto_hedge_s: Optional[float] = None
+        self._reads_until_hedge_refresh = 0
+        self._held_hits = (
+            backend.handle_cached if isinstance(backend, Gateway) else None
+        )
         self._coalescer: Optional[_IngestCoalescer] = None
         self._tracer = tracer
         self._core = GatewayCore(
@@ -535,7 +558,7 @@ class AsyncShoalServer:
                     content_type = payload.content_type
                 else:
                     body = _json_bytes(payload)
-                    content_type = "application/json; charset=utf-8"
+                    content_type = _JSON_CONTENT_TYPE
                 closing = close or not keep_alive
                 conn_header = "Connection: close\r\n" if closing else ""
                 head = (
@@ -674,7 +697,7 @@ class AsyncShoalServer:
 
     async def _dispatch_read(
         self, endpoint: str, payload: Dict[str, Any]
-    ) -> Dict[str, Any]:
+    ) -> "Dict[str, Any] | RawResponse":
         request = self._core.decode_post(endpoint, payload)
         if isinstance(request, AnalyticsRequest):
             # The analytics tier has its own time budget and a single
@@ -694,22 +717,38 @@ class AsyncShoalServer:
             tracer=self._tracer,
         )
         t0 = time.perf_counter()
+        body = None
         # The root span lives on the event loop; attempts run on
         # executor threads, so each is parented explicitly (contextvars
         # do not cross run_in_executor).
         with traced("edge.request", context=ctx) as root:
-            response = await self._hedged_dispatch(request, ctx, root.span)
+            if self._held_hits is not None:
+                # A cached answer is served right here; the gateway
+                # returns None without any work when it holds none.
+                body = self._held_hits(request, _encode_response, ctx)
+            if body is None:
+                response = await self._hedged_dispatch(
+                    request, ctx, root.span
+                )
         self._stats.read_stats.record(time.perf_counter() - t0)
+        self._reads_until_hedge_refresh -= 1
+        if body is not None:
+            return RawResponse(body, _JSON_CONTENT_TYPE)
         return response.to_dict()
 
     def _hedge_delay_s(self) -> Optional[float]:
         """Seconds to wait before hedging, or None (don't hedge yet)."""
         if self._hedge_after_ms is not None:
             return self._hedge_after_ms / 1000.0
-        summary = self._stats.read_stats.summary()
-        if summary.count < _HEDGE_MIN_SAMPLES:
-            return None
-        return max(summary.p95_ms, _HEDGE_FLOOR_MS) / 1000.0
+        if self._reads_until_hedge_refresh <= 0:
+            self._reads_until_hedge_refresh = _HEDGE_MIN_SAMPLES
+            summary = self._stats.read_stats.summary()
+            self._auto_hedge_s = (
+                None
+                if summary.count < _HEDGE_MIN_SAMPLES
+                else max(summary.p95_ms, _HEDGE_FLOOR_MS) / 1000.0
+            )
+        return self._auto_hedge_s
 
     def _attempt(self, request, attempt_ctx: RequestContext, parent_span=None):
         """One dispatch attempt on the executor, under its context."""

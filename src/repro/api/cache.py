@@ -119,22 +119,44 @@ class LRUCache:
 
     def get(self, key: Hashable) -> Any:
         with self._lock:
-            entry = self._data.get(key, MISS)
-            if entry is MISS:
+            value = self._lookup_locked(key)
+            if value is MISS:
                 self.misses += 1
-                return MISS
-            value, stored_at = entry
-            if (
-                self.ttl_seconds is not None
-                and self._clock() - stored_at > self.ttl_seconds
-            ):
-                del self._data[key]
-                self.expirations += 1
-                self.misses += 1
-                return MISS
-            self._data.move_to_end(key)
-            self.hits += 1
+            else:
+                self.hits += 1
             return value
+
+    def probe(self, key: Hashable) -> Any:
+        """:meth:`get` without the hit/miss count.
+
+        For a caller that decides later whether the lookup served the
+        request: it holds the returned value (so a concurrent eviction
+        cannot take it away) and calls :meth:`count_hit` once the value
+        is served, or falls back to :meth:`get`, which counts the miss.
+        TTL expiry still applies and is counted here.
+        """
+        with self._lock:
+            return self._lookup_locked(key)
+
+    def count_hit(self) -> None:
+        """Count one hit served from a :meth:`probe`."""
+        with self._lock:
+            self.hits += 1
+
+    def _lookup_locked(self, key: Hashable) -> Any:
+        entry = self._data.get(key, MISS)
+        if entry is MISS:
+            return MISS
+        value, stored_at = entry
+        if (
+            self.ttl_seconds is not None
+            and self._clock() - stored_at > self.ttl_seconds
+        ):
+            del self._data[key]
+            self.expirations += 1
+            return MISS
+        self._data.move_to_end(key)
+        return value
 
     def put(self, key: Hashable, value: Any) -> None:
         if self.max_size == 0:

@@ -26,6 +26,11 @@ place:
 must observe rejections, the rate limiter must reject before any work
 is done, the deadline must cover cache misses *and* hits, and the cache
 sits innermost so a hit costs one locked dict probe.
+
+**Cache-only dispatch.** :meth:`Gateway.handle_cached` answers a
+request only if the result cache already holds it, running every stage
+above the cache but nothing below it; the async edge uses it to serve
+hits on its event-loop thread, where no backend work may run.
 """
 
 from __future__ import annotations
@@ -80,6 +85,23 @@ class Middleware:
         return {}
 
 
+class CachedAnswer:
+    """One gateway-cache entry: the response and, once an edge has
+    asked for it, its encoded wire body.
+
+    The body lives in the same entry as the response, so epoch
+    invalidation and TTL expiry drop both together. It is filled on
+    the first :meth:`Gateway.handle_cached` hit, never on put, so a
+    miss-heavy cache holds no bodies nobody reads.
+    """
+
+    __slots__ = ("response", "body")
+
+    def __init__(self, response: Response):
+        self.response = response
+        self.body: Optional[bytes] = None
+
+
 class CacheMiddleware(Middleware):
     """Gateway-level result cache over the shared locked LRU module.
 
@@ -110,9 +132,9 @@ class CacheMiddleware(Middleware):
         key = (self._epoch, request.cache_key())
         cached = self._cache.get(key)
         if cached is not MISS:
-            return cached
+            return cached.response
         response = call_next(request)
-        self._cache.put(key, response)
+        self._cache.put(key, CachedAnswer(response))
         return response
 
     def handle_observed(
@@ -127,12 +149,23 @@ class CacheMiddleware(Middleware):
         if cached is not MISS:
             if ctx is not None:
                 ctx.tags["cache"] = "hit"
-            return cached
+            return cached.response
         if ctx is not None:
             ctx.tags["cache"] = "miss"
         response = call_next(request)
-        self._cache.put(key, response)
+        self._cache.put(key, CachedAnswer(response))
         return response
+
+    def probe(self, request: Request) -> Optional["CachedAnswer"]:
+        """The cached answer for ``request``, or None — counting
+        neither. The caller holds the entry, so a concurrent eviction
+        cannot take it away; :class:`_HeldAnswer` counts the hit when
+        the request actually reaches this stage."""
+        entry = self._cache.probe((self._epoch, request.cache_key()))
+        return None if entry is MISS else entry
+
+    def count_hit(self) -> None:
+        self._cache.count_hit()
 
     def invalidate(self) -> None:
         self._epoch += 1
@@ -143,6 +176,34 @@ class CacheMiddleware(Middleware):
 
     def stats(self) -> Dict[str, Any]:
         return {"gateway_cache": self._cache.stats().to_dict()}
+
+
+class _HeldAnswer(Middleware):
+    """The cache stage of a :meth:`Gateway.handle_cached` chain: it
+    serves an entry already taken out of the cache and never calls the
+    stage below it, so no backend work can follow a held hit."""
+
+    name = CacheMiddleware.name
+
+    def __init__(self, cache: CacheMiddleware, entry: CachedAnswer):
+        self._cache = cache
+        self._entry = entry
+
+    def handle(self, request: Request, call_next: Handler) -> Response:
+        self._cache.count_hit()
+        return self._entry.response
+
+    def handle_observed(
+        self, request: Request, call_next: Handler
+    ) -> Response:
+        ctx = current_context()
+        if ctx is not None:
+            ctx.tags["cache"] = "hit"
+        return self.handle(request, call_next)
+
+
+def _unreachable(request: Request) -> Response:
+    raise AssertionError("a held cache answer never reaches the backend")
 
 
 class RateLimitMiddleware(Middleware):
@@ -435,6 +496,16 @@ class Gateway(ShoalBackend):
             traced_chain = _bind(mw, traced_chain)
         self._chain = chain
         self._traced_chain = traced_chain
+        # The outermost result cache and the stages above it: what a
+        # held hit (handle_cached) runs. Stages below it never run on a
+        # hit, exactly as in the plain chains.
+        self._front_cache: Optional[CacheMiddleware] = None
+        self._above_cache: List[Middleware] = []
+        for i, mw in enumerate(self._middlewares):
+            if isinstance(mw, CacheMiddleware):
+                self._front_cache = mw
+                self._above_cache = self._middlewares[:i]
+                break
 
     @property
     def backend(self) -> ShoalBackend:
@@ -459,7 +530,7 @@ class Gateway(ShoalBackend):
         request.validate()
         if context is not None:
             with context.use():
-                return self._observed(request, context)
+                return self._observed(request, context, None)
         ctx = current_context()
         if (
             (ctx is None or ctx.tracer is None)
@@ -469,10 +540,64 @@ class Gateway(ShoalBackend):
             # Tracing and logging both off: straight down the bare
             # pre-composed chain, nothing per-request to observe.
             return self._chain(request)
-        return self._observed(request, ctx)
+        return self._observed(request, ctx, None)
+
+    def handle_cached(
+        self,
+        request: Request,
+        encode: Callable[[Response], bytes],
+        context: Optional[RequestContext] = None,
+    ) -> Optional[bytes]:
+        """Answer ``request`` from the result cache alone, as encoded
+        bytes — or return None, having done nothing, when the cache
+        does not hold it.
+
+        The cache is probed once and the entry held, so an eviction
+        racing this call cannot turn the hit into backend work. The
+        hit then runs every stage above the cache (metrics, rate
+        limit, deadline, tracing, access log) exactly as
+        :meth:`handle` would, with a cache stage that serves the held
+        entry and has no stage below it. ``encode`` must be a pure
+        function of the response: its bytes are stored in the entry on
+        the first hit and reused by every later one.
+        """
+        cache = self._front_cache
+        if cache is None:
+            return None
+        request.validate()
+        entry = cache.probe(request)
+        if entry is None:
+            return None
+        held = _HeldAnswer(cache, entry)
+        if context is not None:
+            with context.use():
+                response = self._observed(request, context, held)
+        else:
+            response = self._observed(request, current_context(), held)
+        if response is not entry.response:  # a stage above swapped it
+            return encode(response)
+        body = entry.body
+        if body is None:
+            body = entry.body = encode(response)
+        return body
+
+    def _run(
+        self, request: Request, traced: bool, held: Optional[_HeldAnswer]
+    ) -> Response:
+        if held is None:
+            chain = self._traced_chain if traced else self._chain
+            return chain(request)
+        bind = _bind if traced else _bind_plain
+        chain = bind(held, _unreachable)
+        for mw in reversed(self._above_cache):
+            chain = bind(mw, chain)
+        return chain(request)
 
     def _observed(
-        self, request: Request, ctx: Optional[RequestContext]
+        self,
+        request: Request,
+        ctx: Optional[RequestContext],
+        held: Optional[_HeldAnswer],
     ) -> Response:
         """Run the middleware chain under a ``gateway`` span and emit
         the per-request access-log line — the one place every edge and
@@ -480,29 +605,32 @@ class Gateway(ShoalBackend):
 
         The tracer is resolved exactly once here; with tracing and
         logging both off the request takes the bare pre-composed chain
-        with zero per-request instrumentation cost.
+        with zero per-request instrumentation cost. ``held`` is a
+        :meth:`handle_cached` hit, served in place of the cache stage.
         """
         tracer = ctx.tracer if ctx is not None else None
         if tracer is None:
             tracer = default_tracer()
         if tracer is None and self._access_log is None:
-            return self._chain(request)
+            return self._run(request, False, held)
         endpoint = _ENDPOINT_OF.get(type(request), "search")
         if self._access_log is None:
             with tracer.span(
                 "gateway", context=ctx, tags={"endpoint": endpoint}
             ):
-                return self._traced_chain(request)
+                return self._run(request, True, held)
         t0 = time.perf_counter()
         status = 200
         error: Optional[str] = None
         try:
             if tracer is None:
-                return self._chain(request)
+                # No spans open, but the observed stages still tag the
+                # cache outcome this request's log line reports.
+                return self._run(request, True, held)
             with tracer.span(
                 "gateway", context=ctx, tags={"endpoint": endpoint}
             ):
-                return self._traced_chain(request)
+                return self._run(request, True, held)
         except ApiError as exc:
             status = ERROR_CODES.get(exc.code, 500)
             error = exc.code

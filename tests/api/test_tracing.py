@@ -3,7 +3,9 @@
 The acceptance bar for the observability PR:
 
 * every span of a request shares the request's trace, and the parent
-  ids form a tree rooted at ``edge.request``;
+  ids form a tree rooted at ``edge.request``; a cache hit answered on
+  the event loop traces the middleware stack without an
+  ``edge.attempt``;
 * hedged attempts join the same trace as child spans and the loser is
   deterministically marked ``cancelled``;
 * tracing on vs. off never changes answer bytes — hypothesis drives
@@ -259,6 +261,73 @@ class TestSpanPropagation:
             )
 
 
+class TestCacheHitTracing:
+    def test_loop_thread_hit_has_no_executor_attempt(
+        self, snapshot_dir, query_pool, capsys
+    ):
+        """A hit answered on the event loop still traces the whole
+        stack — edge.request → gateway → mw.* — but never an
+        edge.attempt; it logs ``cache: hit``; ``cli trace`` renders
+        the same tree."""
+        from repro import cli
+
+        log = io.StringIO()
+        tracer = Tracer(slowest_per_endpoint=512)
+        server = AsyncShoalServer(
+            Gateway(
+                ServiceBackend.from_snapshot(snapshot_dir), access_log=log
+            ),
+            port=0,
+            tracer=tracer,
+        ).start()
+        try:
+            payload = _search_payload(query_pool[3])
+            _raw("POST", server.host, server.port, "/v1/search", payload)
+            miss = tracer.latest()
+            _raw("POST", server.host, server.port, "/v1/search", payload)
+            hit = tracer.latest()
+            assert hit["request_id"] != miss["request_id"]
+            assert "edge.attempt" in [s["name"] for s in miss["spans"]]
+
+            spans = hit["spans"]
+            _assert_is_tree(spans)
+            parent_of = {
+                s["name"]: next(
+                    (p["name"] for p in spans
+                     if p["span_id"] == s["parent_id"]),
+                    None,
+                )
+                for s in spans
+            }
+            assert parent_of == {
+                "edge.request": None,
+                "gateway": "edge.request",
+                "mw.metrics": "gateway",
+                "mw.cache": "mw.metrics",
+            }
+
+            lines = [json.loads(l) for l in log.getvalue().splitlines()]
+            assert [l["cache"] for l in lines] == ["miss", "hit"]
+            assert lines[-1]["request_id"] == hit["request_id"]
+
+            capsys.readouterr()
+            assert cli.main([
+                "trace", "--url", server.url,
+                "--request-id", hit["request_id"],
+            ]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[0].startswith(f"trace {hit['request_id']} ")
+            assert [
+                (len(line) - len(line.lstrip()), line.split()[0])
+                for line in out[1:]
+            ] == [
+                (0, "edge.request"), (2, "gateway"), (4, "mw.metrics"),
+                (6, "mw.cache"),
+            ]
+        finally:
+            server.shutdown()
+
+
 class _SleepyBackend:
     """Slow enough that a zero hedge delay always hedges, asymmetric
     enough that the loser is still in flight when the winner's root
@@ -382,6 +451,26 @@ class TestAccessLogToTrace:
             )
         finally:
             server.shutdown()
+
+
+    def test_access_log_reports_the_cache_outcome_without_a_tracer(
+        self, snapshot_dir, query_pool
+    ):
+        log = io.StringIO()
+        server = AsyncShoalServer(
+            Gateway(
+                ServiceBackend.from_snapshot(snapshot_dir), access_log=log
+            ),
+            port=0,
+        ).start()
+        try:
+            for _ in range(3):
+                _raw("POST", server.host, server.port, "/v1/search",
+                     _search_payload(query_pool[0]))
+        finally:
+            server.shutdown()
+        lines = [json.loads(l) for l in log.getvalue().splitlines()]
+        assert [l["cache"] for l in lines] == ["miss", "hit", "hit"]
 
 
 # -- the endpoints themselves --------------------------------------------------

@@ -10,12 +10,15 @@ against the exact nearest-rank computed on the raw samples.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.histogram import (
+    _FOLD_AT,
     BUCKET_BOUNDS_MS,
     Histogram,
     LatencySummary,
@@ -126,6 +129,82 @@ class TestHistogram:
             "count", "qps", "mean_ms", "p50_ms", "p95_ms", "p99_ms",
             "max_ms",
         }
+
+
+class TestConcurrentRecording:
+    def test_pending_samples_stay_bounded_without_reads(self):
+        h = Histogram()
+        for _ in range(10 * _FOLD_AT + 3):
+            h.record_ms(2.0)
+        assert len(h._pending) < _FOLD_AT
+        assert h.count == 10 * _FOLD_AT + 3
+
+    def test_sample_appended_during_a_fold_survives_it(self):
+        """Deterministic form of the race below: a recorder appends
+        right after a fold snapshotted the pending list."""
+
+        class RacedList(list):
+            raced = False
+
+            def __getitem__(self, index):
+                out = super().__getitem__(index)
+                if isinstance(index, slice) and not self.raced:
+                    self.raced = True
+                    self.append(7.0)  # lands after the snapshot
+                return out
+
+        h = Histogram()
+        h._pending = RacedList()
+        for _ in range(5):
+            h.record_ms(1.0)
+        assert h.summary().count == 5  # the fold took its snapshot only
+        assert h.count == 6  # ... and the racing sample is still there
+        s = h.summary()
+        assert (s.count, s.max_ms) == (6, 7.0)
+        assert h.sum_ms() == 12.0
+
+    def test_racing_samples_are_never_dropped_or_double_counted(self):
+        """Lock-free recorders crossing inline-fold boundaries while
+        readers fold concurrently: every sample lands exactly once."""
+        h = Histogram()
+        n_writers, per_writer = 4, 3 * _FOLD_AT + 17
+        stop = threading.Event()
+
+        def read():
+            while not stop.is_set():
+                h.summary()
+                h.buckets()
+
+        def write(k):
+            for _ in range(per_writer):
+                h.record_ms(float(k + 1))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave as finely as possible
+        try:
+            readers = [threading.Thread(target=read) for _ in range(2)]
+            writers = [
+                threading.Thread(target=write, args=(k,))
+                for k in range(n_writers)
+            ]
+            for t in readers + writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+        finally:
+            stop.set()
+            for t in readers:
+                t.join(timeout=60)
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in readers + writers)
+
+        total = n_writers * per_writer
+        assert h.count == total
+        assert h.buckets()[-1] == (float("inf"), total)
+        assert h.sum_ms() == per_writer * sum(
+            range(1, n_writers + 1)
+        )
+        assert h.summary().max_ms == float(n_writers)
 
 
 # Within the tracked bucket range: above the last bound (2 minutes)
